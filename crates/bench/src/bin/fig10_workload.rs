@@ -13,7 +13,7 @@
 use hyperline_bench::{arg, flag, print_header};
 use hyperline_gen::Profile;
 use hyperline_hypergraph::{relabel_edges_by_degree, RelabelOrder};
-use hyperline_slinegraph::{algo2_slinegraph, Partition, Strategy};
+use hyperline_slinegraph::{algo2_slinegraph, CounterKind, Partition, Strategy};
 use hyperline_util::table::{human_count, Table};
 
 fn main() {
@@ -45,6 +45,7 @@ fn main() {
     for (label, partition, relabel) in variants {
         let relabeled = relabel_edges_by_degree(&h, relabel);
         let strategy = Strategy::default()
+            .with_counter(CounterKind::DynamicMap)
             .with_partition(partition)
             .with_workers(workers);
         let result = algo2_slinegraph(&relabeled.hypergraph, s, &strategy);

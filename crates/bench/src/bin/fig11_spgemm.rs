@@ -15,7 +15,8 @@ use hyperline_bench::{arg, median_secs, print_header};
 use hyperline_gen::Profile;
 use hyperline_hypergraph::{relabel_edges_by_degree, Hypergraph, RelabelOrder};
 use hyperline_slinegraph::{
-    algo1_slinegraph, algo2_slinegraph, spgemm_slinegraph, Partition, SLineGraph, Strategy,
+    algo1_slinegraph, algo2_slinegraph, spgemm_slinegraph, CounterKind, Partition, SLineGraph,
+    Strategy,
 };
 use hyperline_util::table::Table;
 
@@ -26,8 +27,9 @@ fn sweep(h: &Hypergraph, name: &str, s_values: &[u32], reps: usize) {
         h.num_edges()
     );
     let asc = relabel_edges_by_degree(h, RelabelOrder::Ascending);
-    let algo1_strategy = Strategy::default().with_partition(Partition::Cyclic);
-    let algo2_strategy = Strategy::default().with_partition(Partition::Blocked);
+    let paper = Strategy::default().with_counter(CounterKind::DynamicMap);
+    let algo1_strategy = paper.with_partition(Partition::Cyclic);
+    let algo2_strategy = paper.with_partition(Partition::Blocked);
 
     let mut table = Table::new([
         "s",

@@ -11,7 +11,9 @@
 
 use hyperline_bench::{arg, median_secs, print_header};
 use hyperline_gen::Profile;
-use hyperline_slinegraph::{run_pipeline, table3_grid, Algorithm, PipelineConfig, Strategy};
+use hyperline_slinegraph::{
+    run_pipeline, table3_grid, Algorithm, CounterKind, PipelineConfig, Strategy,
+};
 use hyperline_util::table::Table;
 
 fn main() {
@@ -54,7 +56,9 @@ fn main() {
         // Baseline: 1CN.
         let baseline = time_variant(
             Algorithm::Algo1,
-            Strategy::default().with_partition(hyperline_slinegraph::Partition::Cyclic),
+            Strategy::default()
+                .with_counter(CounterKind::DynamicMap)
+                .with_partition(hyperline_slinegraph::Partition::Cyclic),
         );
         let mut cells = vec![profile.name().to_string()];
         for (algorithm, strategy) in &grid {

@@ -12,7 +12,9 @@
 use hyperline_bench::{arg, print_header, with_pool};
 use hyperline_gen::{dns_chunks, Profile};
 use hyperline_hypergraph::{Hypergraph, RelabelOrder};
-use hyperline_slinegraph::{run_pipeline, Algorithm, Partition, PipelineConfig, Strategy};
+use hyperline_slinegraph::{
+    run_pipeline, Algorithm, CounterKind, Partition, PipelineConfig, Strategy,
+};
 use hyperline_util::table::Table;
 use hyperline_util::Timer;
 
@@ -66,6 +68,7 @@ fn main() {
             for &(_, partition, relabel) in &series {
                 let secs = with_pool(threads, || {
                     let strategy = Strategy::default()
+                        .with_counter(CounterKind::DynamicMap)
                         .with_partition(partition)
                         .with_relabel(relabel)
                         .with_workers(threads);

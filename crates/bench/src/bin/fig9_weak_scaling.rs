@@ -10,7 +10,9 @@
 
 use hyperline_bench::{arg, print_header, with_pool};
 use hyperline_gen::dns_chunks;
-use hyperline_slinegraph::{run_pipeline, Algorithm, Partition, PipelineConfig, Strategy};
+use hyperline_slinegraph::{
+    run_pipeline, Algorithm, CounterKind, Partition, PipelineConfig, Strategy,
+};
 use hyperline_util::table::Table;
 use hyperline_util::Timer;
 
@@ -37,6 +39,7 @@ fn main() {
         for &s in &s_values {
             let ms = with_pool(threads, || {
                 let strategy = Strategy::default()
+                    .with_counter(CounterKind::DynamicMap)
                     .with_partition(Partition::Blocked)
                     .with_workers(threads);
                 let config = PipelineConfig {

@@ -31,8 +31,16 @@
 //! commit, unix timestamp, the full report), so the trajectory survives
 //! the snapshot overwrite as a per-commit series.
 //!
+//! Stage 3 is recorded layer by layer: the wedge count, ns per wedge
+//! (counting time over wedges) and the per-worker max/mean wedge visits
+//! at every worker count. The same run re-measures the old library
+//! default — the paper's hashmap-per-source counter under static blocks
+//! (`DynamicMap` + `Blocked`) — at the machine's real core count, so the
+//! speedup of the dense-array + dynamic-chunk default stands on its own;
+//! its edge list is asserted identical to the default's.
+//!
 //! `cargo run -p hyperline-bench --release --bin kernel_smoke`
-//! Options: `--profiles=genomics --s=2 --seed=42 --reps=5
+//! Options: `--profiles=genomics,activeDNS --s=2 --seed=42 --reps=5
 //! --out=BENCH_kernels.json --history=BENCH_history.jsonl` (empty
 //! `--history=` skips the append).
 
@@ -40,7 +48,9 @@ use hyperline_bench::{arg, print_header, with_pool};
 use hyperline_gen::Profile;
 use hyperline_graph::{bfs, cc};
 use hyperline_server::json::Json;
-use hyperline_slinegraph::{run_pipeline, PipelineConfig, SLineGraph};
+use hyperline_slinegraph::{
+    run_pipeline, CounterKind, Partition, PipelineConfig, SLineGraph, Strategy,
+};
 use hyperline_util::FxHashMap;
 use std::time::Instant;
 
@@ -306,7 +316,8 @@ fn measure_stage5_baseline(slg: &SLineGraph, reps: usize) -> Stage5Medians {
     }
 }
 
-/// One worker count's cold medians, all in milliseconds.
+/// One worker count's cold medians, all in milliseconds, plus the
+/// Stage-3 work counters.
 #[derive(Clone, Copy)]
 struct StageMedians {
     counting_ms: f64,
@@ -315,12 +326,31 @@ struct StageMedians {
     csr_ms: f64,
     components_ms: f64,
     total_ms: f64,
+    /// Total wedge visits (identical for every rep and worker count).
+    wedges: u64,
+    /// Median over reps of the busiest worker's wedge visits.
+    visits_max: f64,
+    /// Mean wedge visits per worker.
+    visits_mean: f64,
 }
 
 impl StageMedians {
     /// The post-counting tail: merge + restore/sort + CSR build.
     fn tail_ms(&self) -> f64 {
         self.merge_ms + self.postprocess_ms + self.csr_ms
+    }
+
+    /// Counting time per wedge visit.
+    fn ns_per_wedge(&self) -> f64 {
+        self.counting_ms * 1e6 / self.wedges.max(1) as f64
+    }
+
+    /// The Stage-3 fields of a report row.
+    fn stage3_json(&self, row: Json) -> Json {
+        row.set("wedges", self.wedges)
+            .set("ns_per_wedge", self.ns_per_wedge())
+            .set("visits_max", self.visits_max)
+            .set("visits_mean", self.visits_mean)
     }
 
     fn fields() -> [&'static str; 6] {
@@ -347,14 +377,18 @@ impl StageMedians {
     }
 }
 
-/// Runs the pipeline `reps` times cold and returns stage medians plus
-/// the (stable) edge list for the cross-worker-count identity check.
+/// Runs the pipeline `reps` times cold under `strategy` and returns
+/// stage medians plus the (stable) edge list for the identity checks.
 fn measure(
     h: &hyperline_hypergraph::Hypergraph,
     s: u32,
     reps: usize,
+    strategy: Strategy,
 ) -> (StageMedians, Vec<(u32, u32)>) {
-    let config = PipelineConfig::new(s);
+    let config = PipelineConfig {
+        strategy,
+        ..PipelineConfig::new(s)
+    };
     let stage_ms = |run: &hyperline_slinegraph::PipelineRun, stage: &str| {
         run.times.get(stage).map_or(0.0, |d| d.as_secs_f64() * 1e3)
     };
@@ -364,9 +398,16 @@ fn measure(
     let mut csr = Vec::with_capacity(reps);
     let mut components = Vec::with_capacity(reps);
     let mut total = Vec::with_capacity(reps);
+    let mut visits_max = Vec::with_capacity(reps);
+    let mut visits_mean = 0.0;
+    let mut wedges = 0;
     let mut edges = Vec::new();
     for _ in 0..reps.max(1) {
         let run = run_pipeline(h, &config);
+        let visits = run.stats.visits_per_worker();
+        wedges = visits.iter().sum::<u64>();
+        visits_mean = wedges as f64 / visits.len().max(1) as f64;
+        visits_max.push(visits.iter().copied().max().unwrap_or(0) as f64);
         let merge_ms = run.stats.merge_seconds * 1e3;
         counting.push(stage_ms(&run, "s-overlap") - merge_ms);
         merge.push(merge_ms);
@@ -384,6 +425,9 @@ fn measure(
             csr_ms: median(csr),
             components_ms: median(components),
             total_ms: median(total),
+            wedges,
+            visits_max: median(visits_max),
+            visits_mean,
         },
         edges,
     )
@@ -428,9 +472,142 @@ fn previous_stage5_medians(previous: Option<&Json>, profile: &str, workers: usiz
         .cloned()
 }
 
+/// Largest line graph (in edges) the Stage-5 section runs on: the pre-PR
+/// O(V·E) baseline kernels take minutes per rep on activeDNS's 2.5M-edge
+/// 2-line graph, against well under a second on genomics' 136k.
+const STAGE5_MAX_EDGES: usize = 1_000_000;
+
+/// Prints one Stage-3 table row.
+fn print_row(label: &str, m: &StageMedians) {
+    println!(
+        "{:>11} {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>8.2} {:>9.3}",
+        label,
+        m.counting_ms,
+        m.merge_ms,
+        m.postprocess_ms,
+        m.csr_ms,
+        m.components_ms,
+        m.tail_ms(),
+        m.ns_per_wedge(),
+        m.visits_max / m.visits_mean.max(1.0)
+    );
+}
+
+/// Stage 5: frontier-engine kernels on the constructed s-line graph —
+/// cold medians per worker count, byte-identity asserted, plus the pre-PR
+/// serial kernels measured in the same run. Returns the report section.
+fn stage5_report(
+    slg: &SLineGraph,
+    worker_counts: &[usize],
+    reps: usize,
+    previous: Option<&Json>,
+    profile: &str,
+    warnings: &mut usize,
+) -> Json {
+    println!(
+        "\nstage 5 ({} vertices, {} edges):",
+        slg.num_vertices(),
+        slg.num_edges()
+    );
+    println!(
+        "{:>8} {:>12} {:>10} {:>11} {:>10}",
+        "workers", "components", "diameter", "closeness", "stage5"
+    );
+    let mut s5_rows: Vec<(usize, Stage5Medians)> = Vec::new();
+    let mut s5_reference: Option<Stage5Outputs> = None;
+    for &w in worker_counts {
+        let (meds, outputs) = with_pool(w, || measure_stage5(slg, reps));
+        match &s5_reference {
+            None => s5_reference = Some(outputs),
+            Some(r) => assert!(
+                &outputs == r,
+                "stage-5 outputs diverged between worker counts (w={w})"
+            ),
+        }
+        println!(
+            "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms",
+            w,
+            meds.components_ms,
+            meds.diameter_ms,
+            meds.closeness_ms,
+            meds.stage5_ms()
+        );
+        if let Some(prev) = previous_stage5_medians(previous, profile, w) {
+            for field in Stage5Medians::fields() {
+                if let Some(old) = num(&prev, field) {
+                    let new = meds.get(field);
+                    if old > 0.5 && new > old * 1.2 {
+                        *warnings += 1;
+                        println!(
+                            "  WARN {} w={w} stage5.{field}: {old:.2}ms -> {new:.2}ms (+{:.0}%)",
+                            profile,
+                            (new / old - 1.0) * 100.0
+                        );
+                    }
+                }
+            }
+        }
+        s5_rows.push((w, meds));
+    }
+    let (s5_workers, s5_meds) = s5_rows
+        .iter()
+        .rev()
+        .find(|(w, _)| *w >= 4)
+        .unwrap_or(s5_rows.last().unwrap());
+    // Components/diameter were serial pre-PR; closeness was already
+    // source-parallel, so the baseline runs it under the same worker
+    // count as the parallel point (an honest comparison, not a
+    // single-thread strawman).
+    let s5_baseline = with_pool(*s5_workers, || measure_stage5_baseline(slg, reps));
+    let stage5_speedup = s5_baseline.stage5_ms() / s5_meds.stage5_ms();
+    println!(
+        "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms   (pre-PR kernels: serial CC/diameter, source-parallel closeness)",
+        "baseline",
+        s5_baseline.components_ms,
+        s5_baseline.diameter_ms,
+        s5_baseline.closeness_ms,
+        s5_baseline.stage5_ms()
+    );
+    println!(
+        "stage5: {:.2}ms pre-PR kernels -> {:.2}ms at {} workers = {:.2}x speedup  \
+         (outputs byte-identical across worker counts)",
+        s5_baseline.stage5_ms(),
+        s5_meds.stage5_ms(),
+        s5_workers,
+        stage5_speedup,
+    );
+    let stage5_runs_json: Vec<Json> = s5_rows
+        .iter()
+        .map(|(w, m)| {
+            Json::obj()
+                .set("workers", *w)
+                .set("components_ms", m.components_ms)
+                .set("diameter_ms", m.diameter_ms)
+                .set("closeness_ms", m.closeness_ms)
+                .set("stage5_ms", m.stage5_ms())
+        })
+        .collect();
+    Json::obj()
+        .set("runs", Json::Arr(stage5_runs_json))
+        .set(
+            "baseline",
+            Json::obj()
+                .set("components_ms", s5_baseline.components_ms)
+                .set("diameter_ms", s5_baseline.diameter_ms)
+                .set("closeness_ms", s5_baseline.closeness_ms)
+                .set("closeness_workers", *s5_workers)
+                .set("stage5_ms", s5_baseline.stage5_ms()),
+        )
+        .set("stage5_baseline_ms", s5_baseline.stage5_ms())
+        .set("stage5_parallel_ms", s5_meds.stage5_ms())
+        .set("stage5_parallel_workers", *s5_workers)
+        .set("stage5_speedup", stage5_speedup)
+        .set("identical_across_workers", true)
+}
+
 fn main() {
     print_header("kernel smoke: cold stage timings, counting vs post-processing tail");
-    let profiles_arg: String = arg("profiles", "genomics".to_string());
+    let profiles_arg: String = arg("profiles", "genomics,activeDNS".to_string());
     let s: u32 = arg("s", 2);
     let seed: u64 = arg("seed", 42);
     let reps: usize = arg("reps", 5);
@@ -463,13 +640,21 @@ fn main() {
             h.num_edges()
         );
         println!(
-            "{:>8} {:>12} {:>10} {:>12} {:>10} {:>12} {:>10}",
-            "workers", "counting", "merge", "postprocess", "csr", "components", "tail"
+            "{:>11} {:>12} {:>10} {:>12} {:>10} {:>12} {:>10} {:>8} {:>9}",
+            "workers",
+            "counting",
+            "merge",
+            "postprocess",
+            "csr",
+            "components",
+            "tail",
+            "ns/wedge",
+            "max/mean"
         );
         let mut rows: Vec<(usize, StageMedians)> = Vec::new();
         let mut reference: Option<Vec<(u32, u32)>> = None;
         for &w in &worker_counts {
-            let (meds, edges) = with_pool(w, || measure(&h, s, reps));
+            let (meds, edges) = with_pool(w, || measure(&h, s, reps, Strategy::default()));
             match &reference {
                 None => reference = Some(edges),
                 Some(r) => assert_eq!(
@@ -477,16 +662,7 @@ fn main() {
                     "line-graph edges diverged between worker counts (w={w})"
                 ),
             }
-            println!(
-                "{:>8} {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>10.2}ms {:>8.2}ms",
-                w,
-                meds.counting_ms,
-                meds.merge_ms,
-                meds.postprocess_ms,
-                meds.csr_ms,
-                meds.components_ms,
-                meds.tail_ms()
-            );
+            print_row(&w.to_string(), &meds);
             // Warn-only trajectory check against the previous report.
             if let Some(prev) = previous_medians(previous.as_ref(), profile.name(), w) {
                 for field in StageMedians::fields() {
@@ -508,6 +684,31 @@ fn main() {
             }
             rows.push((w, meds));
         }
+        // The old library default at the machine's real core count, in
+        // the same run, so the default's speedup stands on its own.
+        let old_default = Strategy::default()
+            .with_counter(CounterKind::DynamicMap)
+            .with_partition(Partition::Blocked);
+        let (old_meds, old_edges) = with_pool(cores, || measure(&h, s, reps, old_default));
+        assert!(
+            Some(&old_edges) == reference.as_ref(),
+            "old-default edges diverged from the default's"
+        );
+        print_row("old-default", &old_meds);
+        let new_meds = rows
+            .iter()
+            .find(|(w, _)| *w == cores)
+            .map(|(_, m)| m)
+            .expect("the core count is a measured worker count");
+        assert_eq!(old_meds.wedges, new_meds.wedges, "wedge counts diverged");
+        let counting_speedup = old_meds.counting_ms / new_meds.counting_ms;
+        let total_speedup = old_meds.total_ms / new_meds.total_ms;
+        println!(
+            "default vs old default (dynamic-map + blocked) at {cores} workers: \
+             counting {counting_speedup:.2}x, total {total_speedup:.2}x \
+             ({} wedges, identical edges)",
+            new_meds.wedges
+        );
         // The ≥4-worker point (or the widest available on small machines).
         let (par_workers, par_meds) = rows
             .iter()
@@ -519,7 +720,7 @@ fn main() {
         let tail_speedup = baseline.tail_ms() / par_meds.tail_ms();
         let edges_out = reference_edges.len();
         println!(
-            "{:>8} {:>12} {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>12} {:>8.2}ms   (pre-PR serial tail)",
+            "{:>11} {:>12} {:>8.2}ms {:>10.2}ms {:>8.2}ms {:>12} {:>8.2}ms   (pre-PR serial tail)",
             "baseline",
             "-",
             baseline.merge_ms,
@@ -537,113 +738,10 @@ fn main() {
             tail_speedup,
             edges_out,
         );
-        // Stage 5: frontier-engine kernels on the constructed s-line
-        // graph — cold medians per worker count, byte-identity asserted,
-        // plus the pre-PR serial kernels measured in the same run.
-        let slg = SLineGraph::new_squeezed(s, h.num_edges(), reference_edges.clone());
-        println!(
-            "\nstage 5 ({} vertices, {} edges):",
-            slg.num_vertices(),
-            slg.num_edges()
-        );
-        println!(
-            "{:>8} {:>12} {:>10} {:>11} {:>10}",
-            "workers", "components", "diameter", "closeness", "stage5"
-        );
-        let mut s5_rows: Vec<(usize, Stage5Medians)> = Vec::new();
-        let mut s5_reference: Option<Stage5Outputs> = None;
-        for &w in &worker_counts {
-            let (meds, outputs) = with_pool(w, || measure_stage5(&slg, reps));
-            match &s5_reference {
-                None => s5_reference = Some(outputs),
-                Some(r) => assert!(
-                    &outputs == r,
-                    "stage-5 outputs diverged between worker counts (w={w})"
-                ),
-            }
-            println!(
-                "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms",
-                w,
-                meds.components_ms,
-                meds.diameter_ms,
-                meds.closeness_ms,
-                meds.stage5_ms()
-            );
-            if let Some(prev) = previous_stage5_medians(previous.as_ref(), profile.name(), w) {
-                for field in Stage5Medians::fields() {
-                    if let Some(old) = num(&prev, field) {
-                        let new = meds.get(field);
-                        if old > 0.5 && new > old * 1.2 {
-                            warnings += 1;
-                            println!(
-                                "  WARN {} w={w} stage5.{field}: {old:.2}ms -> {new:.2}ms (+{:.0}%)",
-                                profile.name(),
-                                (new / old - 1.0) * 100.0
-                            );
-                        }
-                    }
-                }
-            }
-            s5_rows.push((w, meds));
-        }
-        let (s5_workers, s5_meds) = s5_rows
-            .iter()
-            .rev()
-            .find(|(w, _)| *w >= 4)
-            .unwrap_or(s5_rows.last().unwrap());
-        // Components/diameter were serial pre-PR; closeness was already
-        // source-parallel, so the baseline runs it under the same worker
-        // count as the parallel point (an honest comparison, not a
-        // single-thread strawman).
-        let s5_baseline = with_pool(*s5_workers, || measure_stage5_baseline(&slg, reps));
-        let stage5_speedup = s5_baseline.stage5_ms() / s5_meds.stage5_ms();
-        println!(
-            "{:>8} {:>10.2}ms {:>8.2}ms {:>9.2}ms {:>8.2}ms   (pre-PR kernels: serial CC/diameter, source-parallel closeness)",
-            "baseline",
-            s5_baseline.components_ms,
-            s5_baseline.diameter_ms,
-            s5_baseline.closeness_ms,
-            s5_baseline.stage5_ms()
-        );
-        println!(
-            "stage5: {:.2}ms pre-PR kernels -> {:.2}ms at {} workers = {:.2}x speedup  \
-             (outputs byte-identical across worker counts)",
-            s5_baseline.stage5_ms(),
-            s5_meds.stage5_ms(),
-            s5_workers,
-            stage5_speedup,
-        );
-        let stage5_runs_json: Vec<Json> = s5_rows
-            .iter()
-            .map(|(w, m)| {
-                Json::obj()
-                    .set("workers", *w)
-                    .set("components_ms", m.components_ms)
-                    .set("diameter_ms", m.diameter_ms)
-                    .set("closeness_ms", m.closeness_ms)
-                    .set("stage5_ms", m.stage5_ms())
-            })
-            .collect();
-        let stage5_json = Json::obj()
-            .set("runs", Json::Arr(stage5_runs_json))
-            .set(
-                "baseline",
-                Json::obj()
-                    .set("components_ms", s5_baseline.components_ms)
-                    .set("diameter_ms", s5_baseline.diameter_ms)
-                    .set("closeness_ms", s5_baseline.closeness_ms)
-                    .set("closeness_workers", *s5_workers)
-                    .set("stage5_ms", s5_baseline.stage5_ms()),
-            )
-            .set("stage5_baseline_ms", s5_baseline.stage5_ms())
-            .set("stage5_parallel_ms", s5_meds.stage5_ms())
-            .set("stage5_parallel_workers", *s5_workers)
-            .set("stage5_speedup", stage5_speedup)
-            .set("identical_across_workers", true);
         let runs_json: Vec<Json> = rows
             .iter()
             .map(|(w, m)| {
-                Json::obj()
+                let row = Json::obj()
                     .set("workers", *w)
                     .set("counting_ms", m.counting_ms)
                     .set("merge_ms", m.merge_ms)
@@ -651,30 +749,53 @@ fn main() {
                     .set("csr_ms", m.csr_ms)
                     .set("components_ms", m.components_ms)
                     .set("tail_ms", m.tail_ms())
-                    .set("total_ms", m.total_ms)
+                    .set("total_ms", m.total_ms);
+                m.stage3_json(row)
             })
             .collect();
-        profile_reports.push(
-            Json::obj()
-                .set("profile", profile.name())
-                .set("s", s)
-                .set("line_graph_edges", edges_out)
-                .set("runs", Json::Arr(runs_json))
-                .set(
-                    "serial_baseline",
-                    Json::obj()
-                        .set("merge_ms", baseline.merge_ms)
-                        .set("postprocess_ms", baseline.postprocess_ms)
-                        .set("csr_ms", baseline.csr_ms)
-                        .set("tail_ms", baseline.tail_ms()),
-                )
-                .set("tail_serial_baseline_ms", baseline.tail_ms())
-                .set("tail_parallel_ms", par_meds.tail_ms())
-                .set("tail_parallel_workers", *par_workers)
-                .set("tail_speedup", tail_speedup)
-                .set("identical_across_workers", true)
-                .set("stage5", stage5_json),
-        );
+        let mut report = Json::obj()
+            .set("profile", profile.name())
+            .set("s", s)
+            .set("line_graph_edges", edges_out)
+            .set("wedges", par_meds.wedges)
+            .set("runs", Json::Arr(runs_json))
+            .set(
+                "old_default",
+                old_meds
+                    .stage3_json(Json::obj())
+                    .set("strategy", "dynamic-map + blocked")
+                    .set("workers", cores)
+                    .set("counting_ms", old_meds.counting_ms)
+                    .set("total_ms", old_meds.total_ms)
+                    .set("counting_speedup", counting_speedup)
+                    .set("total_speedup", total_speedup),
+            )
+            .set(
+                "serial_baseline",
+                Json::obj()
+                    .set("merge_ms", baseline.merge_ms)
+                    .set("postprocess_ms", baseline.postprocess_ms)
+                    .set("csr_ms", baseline.csr_ms)
+                    .set("tail_ms", baseline.tail_ms()),
+            )
+            .set("tail_serial_baseline_ms", baseline.tail_ms())
+            .set("tail_parallel_ms", par_meds.tail_ms())
+            .set("tail_parallel_workers", *par_workers)
+            .set("tail_speedup", tail_speedup)
+            .set("identical_across_workers", true);
+        if edges_out <= STAGE5_MAX_EDGES {
+            let slg = SLineGraph::new_squeezed(s, h.num_edges(), reference_edges.clone());
+            let section = stage5_report(
+                &slg,
+                &worker_counts,
+                reps,
+                previous.as_ref(),
+                profile.name(),
+                &mut warnings,
+            );
+            report = report.set("stage5", section);
+        }
+        profile_reports.push(report);
     }
 
     let report = Json::obj()

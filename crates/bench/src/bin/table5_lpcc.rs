@@ -16,7 +16,7 @@ use hyperline_gen::Profile;
 use hyperline_graph::cc;
 use hyperline_hypergraph::RelabelOrder;
 use hyperline_slinegraph::{
-    algo2_slinegraph, ensemble_slinegraphs, Partition, SLineGraph, Strategy,
+    algo2_slinegraph, ensemble_slinegraphs, CounterKind, Partition, SLineGraph, Strategy,
 };
 use hyperline_util::table::{group_thousands, Table};
 use hyperline_util::Timer;
@@ -34,6 +34,7 @@ fn main() {
         Profile::Web,
     ];
     let strategy = Strategy::default()
+        .with_counter(CounterKind::DynamicMap)
         .with_partition(Partition::Cyclic)
         .with_relabel(RelabelOrder::Ascending);
 

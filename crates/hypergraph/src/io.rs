@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("hyperline-io-test");
+        let dir = std::env::temp_dir().join(format!("hyperline-io-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("example.hgr");
         let h = Hypergraph::paper_example();

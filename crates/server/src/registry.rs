@@ -205,7 +205,8 @@ mod tests {
 
     #[test]
     fn file_loading_and_stem_naming() {
-        let dir = std::env::temp_dir().join("hyperline-registry-test");
+        let dir =
+            std::env::temp_dir().join(format!("hyperline-registry-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("example.hgr");
         io::save_edge_list(&Hypergraph::paper_example(), &path).unwrap();

@@ -2309,13 +2309,8 @@ fn answer_sub_query(
 fn compute_artifact(h: &Hypergraph, key: &CacheKey) -> Result<(Artifact, usize), String> {
     let strategy = Strategy::default();
     let (edges, weighted_edges) = if key.weighted {
-        let (mut triples, _stats) = algo2_slinegraph_weighted(h, key.s, &strategy);
-        for t in triples.iter_mut() {
-            if t.0 > t.1 {
-                *t = (t.1, t.0, t.2);
-            }
-        }
-        triples.sort_unstable();
+        // Already `(min, max, w)` triples in ascending order.
+        let (triples, _stats) = algo2_slinegraph_weighted(h, key.s, &strategy);
         let edges = triples.iter().map(|&(i, j, _)| (i, j)).collect();
         (edges, Some(triples))
     } else {
@@ -2481,7 +2476,8 @@ mod tests {
 
         // With a data root: relative paths inside it load; absolute and
         // traversing paths are rejected without touching the filesystem.
-        let dir = std::env::temp_dir().join("hyperline-server-data-root");
+        let dir =
+            std::env::temp_dir().join(format!("hyperline-server-data-root-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         hyperline_hypergraph::io::save_edge_list(
             &Hypergraph::paper_example(),

@@ -372,7 +372,7 @@ fn socket_faults_never_truncate_a_200() {
 #[test]
 fn dataset_read_fault_is_a_clean_client_error() {
     let _guard = serialize();
-    let dir = std::env::temp_dir().join("hyperline-chaos-data");
+    let dir = std::env::temp_dir().join(format!("hyperline-chaos-data-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("chaos.hgr");
     hyperline_hypergraph::io::save_edge_list(&star(4), &path).unwrap();

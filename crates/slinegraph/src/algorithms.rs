@@ -17,7 +17,9 @@
 //! smaller edge ID to the larger (`i < j`) — the upper-triangle
 //! optimization the relabel-by-degree orders interact with (§IV).
 
-use crate::counter::{AnyCounter, OverlapCounter};
+use crate::counter::{
+    CounterKind, DenseArrayCounter, DynamicMapCounter, OverlapCounter, ReusedMapCounter,
+};
 use crate::partition::execute;
 use crate::stats::{AlgoStats, WorkerStats};
 use crate::strategy::{Strategy, TriangleSide};
@@ -32,20 +34,50 @@ use hyperline_util::Timer;
 /// Upper, `j < i` for Lower). Neighbor lists are sorted, so both are
 /// contiguous slices.
 #[inline]
-pub(crate) fn wedge_targets(nbrs: &[u32], i: u32, side: TriangleSide) -> &[u32] {
+fn wedge_targets(nbrs: &[u32], i: u32, side: TriangleSide) -> &[u32] {
     match side {
         TriangleSide::Upper => &nbrs[nbrs.partition_point(|&j| j <= i)..],
         TriangleSide::Lower => &nbrs[..nbrs.partition_point(|&j| j < i)],
     }
 }
 
-/// Normalizes freshly-drained pairs to `(min, max)` order (needed when
-/// traversing the lower triangle, where targets satisfy `j < i`).
-#[inline]
-pub(crate) fn normalize_pairs(pairs: &mut [(u32, u32)]) {
-    for p in pairs {
-        if p.0 > p.1 {
-            *p = (p.1, p.0);
+/// An s-line-graph edge as the counting kernel emits it: the emit policy
+/// of [`count_overlaps`]. Each edge type names the counter drain that
+/// produces it and how its endpoints are put in `(min, max)` order.
+pub(crate) trait Emit: Ord + Clone + Send + Sync {
+    /// Drains `counter` for source `i`, appending the edges with overlap
+    /// count ≥ `s` to `out` (in the counter's arbitrary order).
+    fn drain<C: OverlapCounter>(counter: &mut C, i: u32, s: u32, out: &mut Vec<Self>);
+
+    /// Puts the endpoints in `(min, max)` order (needed when traversing
+    /// the lower triangle, where targets satisfy `j < i`).
+    fn normalize(&mut self);
+}
+
+impl Emit for (u32, u32) {
+    #[inline]
+    fn drain<C: OverlapCounter>(counter: &mut C, i: u32, s: u32, out: &mut Vec<Self>) {
+        counter.drain(i, s, out);
+    }
+
+    #[inline]
+    fn normalize(&mut self) {
+        if self.0 > self.1 {
+            *self = (self.1, self.0);
+        }
+    }
+}
+
+impl Emit for (u32, u32, u32) {
+    #[inline]
+    fn drain<C: OverlapCounter>(counter: &mut C, i: u32, s: u32, out: &mut Vec<Self>) {
+        counter.drain_weighted(i, s, out);
+    }
+
+    #[inline]
+    fn normalize(&mut self) {
+        if self.0 > self.1 {
+            *self = (self.1, self.0, self.2);
         }
     }
 }
@@ -61,13 +93,15 @@ pub struct OverlapResult {
 
 /// Merges per-worker emissions into the final sorted edge list.
 ///
-/// Under the static partitions each worker's output is a near-sorted run
-/// (sources ascend within a worker), so each run sorts cheaply — in
-/// parallel across runs — and a parallel k-way merge replaces the old
-/// single-core `sort_unstable` over the concatenation. The result is the
-/// sorted multiset of all emissions, so it is byte-identical for every
-/// worker count and partition.
-fn merge_worker_outputs(locals: Vec<(Vec<(u32, u32)>, WorkerStats)>) -> OverlapResult {
+/// Under the static partitions and dynamic chunk claiming alike, sources
+/// ascend within each worker, so each worker's output is a near-sorted
+/// run that sorts cheaply — in parallel across runs — and a parallel
+/// k-way merge replaces a single-core `sort_unstable` over the
+/// concatenation. The result is the sorted multiset of all emissions, so
+/// it is byte-identical for every worker count and partition.
+fn merge_worker_outputs<T: Ord + Clone + Send + Sync>(
+    locals: Vec<(Vec<T>, WorkerStats)>,
+) -> (Vec<T>, AlgoStats) {
     let _span = Span::enter("merge");
     let timer = Timer::start();
     let mut runs = Vec::with_capacity(locals.len());
@@ -79,10 +113,10 @@ fn merge_worker_outputs(locals: Vec<(Vec<(u32, u32)>, WorkerStats)>) -> OverlapR
     }
     par_for_each_mut(&mut runs, |r| r.sort_unstable());
     let edges = merge_sorted_runs(runs);
-    OverlapResult {
+    (
         edges,
-        stats: AlgoStats::new(per_worker).with_merge_seconds(timer.seconds()),
-    }
+        AlgoStats::new(per_worker).with_merge_seconds(timer.seconds()),
+    )
 }
 
 /// Naive all-pairs construction: intersect every pair of hyperedge vertex
@@ -112,7 +146,8 @@ pub fn naive_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
         },
     );
     drop(counting);
-    merge_worker_outputs(locals)
+    let (edges, stats) = merge_worker_outputs(locals);
+    OverlapResult { edges, stats }
 }
 
 /// Algorithm 1 (the HiPC'21 set-intersection algorithm): for each wedge
@@ -185,7 +220,7 @@ pub fn algo1_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
                 }
                 local.out.truncate(write);
             }
-            normalize_pairs(&mut local.out[before..]);
+            local.out[before..].iter_mut().for_each(Emit::normalize);
             // Presort this source's emissions (small groups): sources
             // ascend within every partition, so under the upper triangle
             // each worker's whole run comes out sorted and the final
@@ -195,7 +230,80 @@ pub fn algo1_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
         },
     );
     drop(counting);
-    merge_worker_outputs(locals.into_iter().map(|l| (l.out, l.stats)).collect())
+    let (edges, stats) =
+        merge_worker_outputs(locals.into_iter().map(|l| (l.out, l.stats)).collect());
+    OverlapResult { edges, stats }
+}
+
+/// The one wedge-counting kernel behind Algorithms 2 and 3: for every
+/// source edge `e_i` (skipping edges with fewer than `min_size` vertices
+/// under degree pruning), bump a per-worker overlap counter for each
+/// wedge endpoint on the strategy's triangle, then drain the pairs whose
+/// count reached `s` as `T` edges, normalized and presorted per source.
+/// Returns the sorted merge of every worker's emissions.
+///
+/// Matches on the counter kind once; the loop itself is monomorphized
+/// over the concrete counter, so `bump` is never dispatched at runtime.
+pub(crate) fn count_overlaps<T: Emit>(
+    h: &Hypergraph,
+    s: u32,
+    min_size: u32,
+    strategy: &Strategy,
+) -> (Vec<T>, AlgoStats) {
+    let m = h.num_edges();
+    match strategy.counter {
+        CounterKind::DynamicMap => count_with(h, s, min_size, strategy, DynamicMapCounter::new),
+        CounterKind::ReusedMap => count_with(h, s, min_size, strategy, ReusedMapCounter::new),
+        CounterKind::DenseArray => {
+            count_with(h, s, min_size, strategy, || DenseArrayCounter::new(m))
+        }
+    }
+}
+
+fn count_with<T: Emit, C: OverlapCounter + Send>(
+    h: &Hypergraph,
+    s: u32,
+    min_size: u32,
+    strategy: &Strategy,
+    new_counter: impl Fn() -> C + Sync,
+) -> (Vec<T>, AlgoStats) {
+    let counting = Span::enter("counting");
+    let locals = execute(
+        h.num_edges(),
+        strategy.workers(),
+        strategy.partition,
+        |_| (Vec::new(), WorkerStats::default(), new_counter()),
+        |i, (out, stats, counter): &mut (Vec<T>, WorkerStats, C)| {
+            if strategy.degree_pruning && (h.edge_size(i) as u32) < min_size {
+                return;
+            }
+            stats.edges_processed += 1;
+            for &v in h.edge_vertices(i) {
+                let targets = wedge_targets(h.vertex_edges(v), i, strategy.triangle);
+                stats.wedge_visits += targets.len() as u64;
+                for &j in targets {
+                    counter.bump(j);
+                }
+            }
+            let before = out.len();
+            T::drain(counter, i, s, out);
+            let group = &mut out[before..];
+            group.iter_mut().for_each(T::normalize);
+            // Presort per source (see algo1): counter drain order is
+            // arbitrary, but sorted small groups make each worker's run
+            // globally sorted under the upper triangle, collapsing the
+            // merge tail. O(Σ k·log k) here beats O(E·log E) there —
+            // and runs inside the parallel counting stage.
+            group.sort_unstable();
+        },
+    );
+    drop(counting);
+    merge_worker_outputs(
+        locals
+            .into_iter()
+            .map(|(out, stats, _)| (out, stats))
+            .collect(),
+    )
 }
 
 /// Algorithm 2 (the paper's contribution): per source edge, bump a
@@ -203,112 +311,22 @@ pub fn algo1_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapR
 /// pairs whose running count reached `s`. No set intersections at all.
 pub fn algo2_slinegraph(h: &Hypergraph, s: u32, strategy: &Strategy) -> OverlapResult {
     assert!(s >= 1, "s must be at least 1");
-    let m = h.num_edges();
-    struct Local {
-        out: Vec<(u32, u32)>,
-        stats: WorkerStats,
-        counter: AnyCounter,
-    }
-    let counting = Span::enter("counting");
-    let locals = execute(
-        m,
-        strategy.workers(),
-        strategy.partition,
-        |_| Local {
-            out: Vec::new(),
-            stats: WorkerStats::default(),
-            counter: AnyCounter::new(strategy.counter, m),
-        },
-        |i, local: &mut Local| {
-            if strategy.degree_pruning && (h.edge_size(i) as u32) < s {
-                return;
-            }
-            local.stats.edges_processed += 1;
-            for &v in h.edge_vertices(i) {
-                for &j in wedge_targets(h.vertex_edges(v), i, strategy.triangle) {
-                    local.counter.bump(j);
-                    local.stats.wedge_visits += 1;
-                }
-            }
-            let before = local.out.len();
-            local.counter.drain(i, s, &mut local.out);
-            normalize_pairs(&mut local.out[before..]);
-            // Presort per source (see algo1): counter drain order is
-            // arbitrary, but sorted small groups make each worker's run
-            // globally sorted under the upper triangle, collapsing the
-            // merge tail. O(Σ k·log k) here beats O(E·log E) there —
-            // and runs inside the parallel counting stage.
-            local.out[before..].sort_unstable();
-        },
-    );
-    drop(counting);
-    merge_worker_outputs(locals.into_iter().map(|l| (l.out, l.stats)).collect())
+    let (edges, stats) = count_overlaps(h, s, s, strategy);
+    OverlapResult { edges, stats }
 }
 
 /// Weighted variant of Algorithm 2: emits `(i, j, inc(e_i, e_j))`, the
 /// overlap size as the s-line-graph edge weight (the "strength of
-/// connection" drawn as line width in the paper's Figure 2).
+/// connection" drawn as line width in the paper's Figure 2). Triples
+/// come back sorted ascending with `i < j`, whichever triangle is
+/// traversed.
 pub fn algo2_slinegraph_weighted(
     h: &Hypergraph,
     s: u32,
     strategy: &Strategy,
 ) -> (Vec<(u32, u32, u32)>, AlgoStats) {
     assert!(s >= 1, "s must be at least 1");
-    let m = h.num_edges();
-    struct Local {
-        out: Vec<(u32, u32, u32)>,
-        stats: WorkerStats,
-        counter: AnyCounter,
-    }
-    let counting = Span::enter("counting");
-    let locals = execute(
-        m,
-        strategy.workers(),
-        strategy.partition,
-        |_| Local {
-            out: Vec::new(),
-            stats: WorkerStats::default(),
-            counter: AnyCounter::new(strategy.counter, m),
-        },
-        |i, local: &mut Local| {
-            if strategy.degree_pruning && (h.edge_size(i) as u32) < s {
-                return;
-            }
-            local.stats.edges_processed += 1;
-            for &v in h.edge_vertices(i) {
-                for &j in wedge_targets(h.vertex_edges(v), i, strategy.triangle) {
-                    local.counter.bump(j);
-                    local.stats.wedge_visits += 1;
-                }
-            }
-            let before = local.out.len();
-            local.counter.drain_weighted(i, s, &mut local.out);
-            for p in &mut local.out[before..] {
-                if p.0 > p.1 {
-                    *p = (p.1, p.0, p.2);
-                }
-            }
-            local.out[before..].sort_unstable();
-        },
-    );
-    drop(counting);
-    // Same sorted-runs merge as `merge_worker_outputs`, over weighted
-    // triples.
-    let _span = Span::enter("merge");
-    let timer = Timer::start();
-    let mut runs = Vec::with_capacity(locals.len());
-    let mut per_worker = Vec::with_capacity(locals.len());
-    for mut l in locals {
-        l.stats.edges_emitted = l.out.len() as u64;
-        runs.push(l.out);
-        per_worker.push(l.stats);
-    }
-    par_for_each_mut(&mut runs, |r| r.sort_unstable());
-    let edges = merge_sorted_runs(runs);
-    (
-        edges,
-        AlgoStats::new(per_worker).with_merge_seconds(timer.seconds()),
-    )
+    count_overlaps(h, s, s, strategy)
 }
 
 #[cfg(test)]
@@ -390,28 +408,64 @@ mod tests {
         }
     }
 
+    /// Every entry point of the shared counting kernel, under every
+    /// counter kind, partition and worker count, against the naive
+    /// oracle: byte-identical output and identical total wedge visits.
     #[test]
     fn partitions_and_counters_agree() {
+        use crate::ensemble::ensemble_slinegraphs;
+        use crate::sclique::sclique_graph;
         let mut rng = StdRng::seed_from_u64(78);
-        let h = random_hypergraph(&mut rng);
-        let s = 2;
-        let reference = algo2_slinegraph(&h, s, &Strategy::default()).edges;
-        for partition in [
-            Partition::Blocked,
-            Partition::Cyclic,
-            Partition::Dynamic { chunk: 4 },
-        ] {
-            for counter in CounterKind::ALL {
-                for workers in [1usize, 2, 7] {
-                    let st = Strategy::default()
-                        .with_partition(partition)
-                        .with_counter(counter)
-                        .with_workers(workers);
-                    assert_eq!(
-                        algo2_slinegraph(&h, s, &st).edges,
-                        reference,
-                        "{partition:?} {counter:?} w={workers}"
-                    );
+        for _ in 0..4 {
+            let h = random_hypergraph(&mut rng);
+            let dual = h.dual();
+            let oracle = Strategy::default();
+            let naive = |h: &Hypergraph, s: u32| naive_slinegraph(h, s, &oracle).edges;
+            let expect_pairs = naive(&h, 2);
+            let expect_weighted: Vec<(u32, u32, u32)> = naive(&h, 1)
+                .into_iter()
+                .map(|(i, j)| {
+                    let w = intersection_size(h.edge_vertices(i), h.edge_vertices(j)) as u32;
+                    (i, j, w)
+                })
+                .collect();
+            let expect_multi: Vec<(u32, Vec<(u32, u32)>)> =
+                [3u32, 1, 2].iter().map(|&s| (s, naive(&h, s))).collect();
+            let expect_sclique = naive(&dual, 2);
+            // Total wedge visits of (algo2, weighted, multi-s, single-s,
+            // sclique) under the first configuration.
+            let mut visits: Option<[u64; 5]> = None;
+            for partition in [
+                Partition::Blocked,
+                Partition::Cyclic,
+                Partition::Dynamic { chunk: 4 },
+            ] {
+                for counter in CounterKind::ALL {
+                    for workers in [1usize, 2, 7] {
+                        let st = Strategy::default()
+                            .with_partition(partition)
+                            .with_counter(counter)
+                            .with_workers(workers);
+                        let label = format!("{partition:?} {counter:?} w={workers}");
+                        let pairs = algo2_slinegraph(&h, 2, &st);
+                        assert_eq!(pairs.edges, expect_pairs, "algo2 {label}");
+                        let (weighted, weighted_stats) = algo2_slinegraph_weighted(&h, 1, &st);
+                        assert_eq!(weighted, expect_weighted, "weighted {label}");
+                        let multi = ensemble_slinegraphs(&h, &[3, 1, 2], &st);
+                        assert_eq!(multi.per_s, expect_multi, "ensemble {label}");
+                        let single = ensemble_slinegraphs(&h, &[2], &st);
+                        assert_eq!(single.per_s, vec![(2, expect_pairs.clone())], "{label}");
+                        let sclique = sclique_graph(&h, 2, &st);
+                        assert_eq!(sclique.edges, expect_sclique, "sclique {label}");
+                        let got = [
+                            pairs.stats.total().wedge_visits,
+                            weighted_stats.total().wedge_visits,
+                            multi.stats.total().wedge_visits,
+                            single.stats.total().wedge_visits,
+                            sclique.stats.total().wedge_visits,
+                        ];
+                        assert_eq!(*visits.get_or_insert(got), got, "wedge visits {label}");
+                    }
                 }
             }
         }
@@ -484,15 +538,28 @@ mod tests {
     #[test]
     fn lower_triangle_weighted_matches() {
         use crate::strategy::TriangleSide;
-        let h = paper_h();
-        let upper = algo2_slinegraph_weighted(&h, 1, &Strategy::default()).0;
-        let lower = algo2_slinegraph_weighted(
-            &h,
-            1,
-            &Strategy::default().with_triangle(TriangleSide::Lower),
-        )
-        .0;
-        assert_eq!(upper, lower);
+        let mut rng = StdRng::seed_from_u64(92);
+        let inputs = [
+            paper_h(),
+            random_hypergraph(&mut rng),
+            random_hypergraph(&mut rng),
+        ];
+        for h in &inputs {
+            let expect = algo2_slinegraph_weighted(h, 1, &Strategy::default()).0;
+            for side in [TriangleSide::Upper, TriangleSide::Lower] {
+                for counter in CounterKind::ALL {
+                    let st = Strategy::default()
+                        .with_triangle(side)
+                        .with_counter(counter);
+                    let got = algo2_slinegraph_weighted(h, 1, &st).0;
+                    // Callers (the server's artifact build) rely on
+                    // `(min, max, w)` triples in ascending order.
+                    assert!(got.windows(2).all(|w| w[0] < w[1]), "{side:?} {counter:?}");
+                    assert!(got.iter().all(|&(i, j, _)| i < j), "{side:?} {counter:?}");
+                    assert_eq!(got, expect, "{side:?} {counter:?}");
+                }
+            }
+        }
     }
 
     #[test]
